@@ -86,8 +86,11 @@ void BftProcess::on_message(sim::Context& ctx, ProcessId from,
 
   // Parallel fast path: pre-verify the certificate's members through the
   // pool before the serial well-formedness walk below touches them.  The
-  // analyzer's checks then hit the shared cache.  No-op without a pool.
-  if (config_.verify_pool && !in.msg.cert.empty()) {
+  // analyzer's checks then hit the shared cache.  Skipped without a pool
+  // and on a synchronous one (0 workers): its jobs would run inline and
+  // only repeat the walk's own cache probes.
+  if (config_.verify_pool && config_.verify_pool->workers() > 0 &&
+      !in.msg.cert.empty()) {
     analyzer_->warm_certificate(in.msg.cert);
   }
 

@@ -10,6 +10,21 @@
 
 namespace modubft::crypto {
 
+/// HMAC-SHA256 under one key.  The key's inner and outer pad blocks are
+/// absorbed once, at construction; every MAC starts from copies of those
+/// two midstates, which saves two of its compressions.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(const Bytes& key);
+
+  /// Computes HMAC-SHA256(key, data).
+  Digest mac(const Bytes& data) const;
+
+ private:
+  Sha256 inner_;  // after absorbing key ⊕ ipad
+  Sha256 outer_;  // after absorbing key ⊕ opad
+};
+
 /// Computes HMAC-SHA256(key, data).
 Digest hmac_sha256(const Bytes& key, const Bytes& data);
 

@@ -1,8 +1,7 @@
 #include "crypto/hmac_signer.hpp"
 
-#include <vector>
+#include <algorithm>
 
-#include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "crypto/hmac.hpp"
 
@@ -21,10 +20,10 @@ Bytes derive_key(std::uint64_t seed, std::uint32_t id) {
 
 class HmacSigner : public Signer {
  public:
-  HmacSigner(ProcessId id, Bytes key) : id_(id), key_(std::move(key)) {}
+  HmacSigner(ProcessId id, const Bytes& key) : id_(id), mac_(key) {}
 
   Signature sign(const Bytes& message) const override {
-    Digest tag = hmac_sha256(key_, message);
+    Digest tag = mac_.mac(message);
     return Bytes(tag.begin(), tag.end());
   }
 
@@ -32,17 +31,18 @@ class HmacSigner : public Signer {
 
  private:
   ProcessId id_;
-  Bytes key_;
+  HmacSha256 mac_;
 };
 
 class HmacVerifier : public Verifier {
  public:
-  explicit HmacVerifier(std::vector<Bytes> keys) : keys_(std::move(keys)) {}
+  explicit HmacVerifier(const std::vector<Bytes>& keys)
+      : macs_(keys.begin(), keys.end()) {}
 
   bool verify(ProcessId signer, const Bytes& message,
               const Signature& sig) const override {
-    if (signer.value >= keys_.size()) return false;
-    Digest expected = hmac_sha256(keys_[signer.value], message);
+    if (signer.value >= macs_.size()) return false;
+    Digest expected = macs_[signer.value].mac(message);
     if (sig.size() != expected.size()) return false;
     Digest given;
     std::copy(sig.begin(), sig.end(), given.begin());
@@ -50,21 +50,24 @@ class HmacVerifier : public Verifier {
   }
 
  private:
-  std::vector<Bytes> keys_;
+  std::vector<HmacSha256> macs_;
 };
 
 }  // namespace
 
 SignatureSystem HmacScheme::make_system(std::uint32_t n,
                                         std::uint64_t seed) const {
-  SignatureSystem sys;
   std::vector<Bytes> keys;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Bytes key = derive_key(seed, i);
-    keys.push_back(key);
-    sys.signers.push_back(std::make_unique<HmacSigner>(ProcessId{i}, key));
+  for (std::uint32_t i = 0; i < n; ++i) keys.push_back(derive_key(seed, i));
+  return from_keys(keys);
+}
+
+SignatureSystem HmacScheme::from_keys(const std::vector<Bytes>& keys) {
+  SignatureSystem sys;
+  for (std::uint32_t i = 0; i < keys.size(); ++i) {
+    sys.signers.push_back(std::make_unique<HmacSigner>(ProcessId{i}, keys[i]));
   }
-  sys.verifier = std::make_shared<HmacVerifier>(std::move(keys));
+  sys.verifier = std::make_shared<HmacVerifier>(keys);
   return sys;
 }
 

@@ -6,6 +6,8 @@
 // RSA cost, which matters for large parameter sweeps.
 #pragma once
 
+#include <vector>
+
 #include "crypto/signature.hpp"
 
 namespace modubft::crypto {
@@ -15,6 +17,10 @@ class HmacScheme : public SignatureScheme {
   SignatureSystem make_system(std::uint32_t n,
                               std::uint64_t seed) const override;
   const char* name() const override { return "hmac"; }
+
+  /// The system over explicit keys: process i signs under `keys[i]`.
+  /// make_system derives its keys from the seed and delegates here.
+  static SignatureSystem from_keys(const std::vector<Bytes>& keys);
 };
 
 }  // namespace modubft::crypto

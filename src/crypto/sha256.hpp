@@ -1,8 +1,11 @@
-// SHA-256 (FIPS 180-4), implemented from scratch.
+// SHA-256 (FIPS 180-4) on OpenSSL's libcrypto compression function, which
+// uses the SHA extensions (SHA-NI) where the CPU has them.
 //
 // Used for message digests inside signatures and for certificate pruning
 // (replacing verified nested certificates by their digest).  The streaming
-// interface lets large certificates be hashed without copying.
+// interface lets large certificates be hashed without copying.  A context
+// is a plain value: copying one mid-stream copies its midstate, which is
+// how an HMAC key reuses its absorbed pad blocks (crypto/hmac.hpp).
 #pragma once
 
 #include <array>
@@ -32,12 +35,10 @@ class Sha256 {
   void reset();
 
  private:
-  void process_block(const std::uint8_t* block);
-
-  std::array<std::uint32_t, 8> state_;
-  std::array<std::uint8_t, 64> buffer_;
-  std::size_t buffered_ = 0;
-  std::uint64_t total_len_ = 0;
+  // Storage for libcrypto's SHA256_CTX, kept opaque so that no OpenSSL
+  // header leaks into includers (size and alignment are checked in
+  // sha256.cpp).
+  alignas(8) std::uint8_t ctx_[112];
 };
 
 /// One-shot convenience hash.

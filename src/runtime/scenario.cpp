@@ -563,6 +563,9 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       rcfg.checkpoint.trust_unverified =
           recover && config.recovery_trust_unverified;
       rcfg.await_done = await_done;
+      // A run does not end before its kill/restart schedule has fired:
+      // the life the kill ends must not finish first (ReplicaConfig).
+      rcfg.hold_done = !recover && crash_specs[i].restart_at.has_value();
     }
     if (client_mode) {
       rcfg.client.num_clients = num_clients;

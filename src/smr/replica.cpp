@@ -133,7 +133,9 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
   }
   for (Command& cmd : workload) {
     MODUBFT_EXPECTS(cmd.id != 0);  // 0 is the no-op marker
-    commands_.emplace(cmd.id, std::move(cmd));
+    const std::uint64_t id = cmd.id;
+    commands_.emplace(id, std::move(cmd));
+    open_.insert(id);
   }
 
   if (client_mode()) {
@@ -196,14 +198,12 @@ std::uint64_t Replica::pick_proposal(std::uint64_t slot) {
   // behind a single slot.
   const std::uint32_t width = client_mode() ? 1u : config_.batch;
   std::vector<std::uint64_t> claim;
-  for (const auto& [id, cmd] : commands_) {
-    if (claim.size() >= width) break;
-    if (committed_ids_.count(id) > 0 || claimed_ids_.count(id) > 0) continue;
-    claim.push_back(id);
+  while (claim.size() < width && !open_.empty()) {
+    claim.push_back(*open_.begin());
+    open_.erase(open_.begin());
   }
   if (claim.empty()) return 0;  // nothing pending: no-op proposal
   const std::uint64_t proposal = claim.front();
-  for (std::uint64_t id : claim) claimed_ids_.insert(id);
   claims_.emplace(slot, std::move(claim));
   return proposal;
 }
@@ -274,7 +274,7 @@ bool Replica::fill_window(sim::Context& ctx) {
     // starts only with something to propose, or when a peer already
     // started it (its envelopes buffered in future_), or in the drain
     // phase after every client announced DONE.
-    if (client_mode() && !drain_ && !has_proposable() &&
+    if (client_mode() && !drain_ && open_.empty() &&
         future_.count(next_start_) == 0) {
       break;
     }
@@ -400,6 +400,7 @@ void Replica::apply_committed_batch(sim::Context& ctx,
     if (c == commands_.end() || committed_ids_.count(id) > 0) continue;
     store_.apply(c->second);
     committed_ids_.insert(id);
+    open_.erase(id);
     applied.push_back(id);
     ++pstats_.commands_committed;
     log_debug("SMR ", ctx.id(), " commits slot ", slot.value, " cmd ", id);
@@ -452,10 +453,12 @@ void Replica::apply_committed_batch(sim::Context& ctx,
         std::max<std::uint64_t>(pstats_.log_peak, slot_log_.size());
   }
 
-  // Release this slot's proposal claims.
+  // Release this slot's proposal claim: its uncommitted ids reopen.
   auto c = claims_.find(slot.value);
   if (c != claims_.end()) {
-    for (std::uint64_t id : c->second) claimed_ids_.erase(id);
+    for (std::uint64_t id : c->second) {
+      if (committed_ids_.count(id) == 0) open_.insert(id);
+    }
     claims_.erase(c);
   }
 
@@ -496,7 +499,7 @@ void Replica::pump(sim::Context& ctx) {
 }
 
 void Replica::maybe_stop(sim::Context& ctx) {
-  if (!done() || stopped_) return;
+  if (!done() || stopped_ || config_.hold_done) return;
   if (checkpointing()) {
     // Stay alive to serve state transfer until every awaited peer has
     // announced completion (its end-of-log checkpoint vote).  Without
@@ -515,6 +518,7 @@ void Replica::maybe_checkpoint(sim::Context& ctx) {
   const bool boundary = next_commit_ % config_.checkpoint.interval == 0 ||
                         next_commit_ == config_.slots;
   if (!boundary || next_commit_ <= last_ckpt_slot_) return;
+  if (next_commit_ == config_.slots && config_.hold_done) return;
   last_ckpt_slot_ = next_commit_;
 
   Snapshot snap;
@@ -650,15 +654,20 @@ void Replica::advance_recovery(sim::Context& ctx) {
     // Drop live instances the snapshot supersedes.
     for (auto it = slots_.begin();
          it != slots_.end() && it->first < inst->snapshot.slot;) {
-      auto c = claims_.find(it->first);
-      if (c != claims_.end()) {
-        for (std::uint64_t id : c->second) claimed_ids_.erase(id);
-        claims_.erase(c);
-      }
+      claims_.erase(it->first);
       it = slots_.erase(it);
     }
     store_.install(inst->snapshot.data, inst->snapshot.applied);
     committed_ids_ = inst->snapshot.committed_ids;
+    // Rebuild the open-id index against the installed committed set and
+    // the claims of the instances that survive the install.
+    open_.clear();
+    for (const auto& [id, cmd] : commands_) {
+      if (committed_ids_.count(id) == 0) open_.insert(id);
+    }
+    for (const auto& [s, ids] : claims_) {
+      for (std::uint64_t id : ids) open_.erase(id);
+    }
     if (client_mode()) {
       // Resume the duplicate-suppression contract where the snapshot left
       // it, and re-derive the admission queue: every known client command
@@ -726,15 +735,7 @@ void Replica::advance_recovery(sim::Context& ctx) {
         break;
       }
     }
-    auto it = slots_.find(next_commit_);
-    if (it != slots_.end()) {
-      auto c = claims_.find(next_commit_);
-      if (c != claims_.end()) {
-        for (std::uint64_t id : c->second) claimed_ids_.erase(id);
-        claims_.erase(c);
-      }
-      slots_.erase(it);
-    }
+    slots_.erase(next_commit_);  // its claim is released by the commit
     apply_committed_batch(ctx, *ids);
   }
   // Replayed slots need no instances of our own; without this, pump would
@@ -890,6 +891,7 @@ void Replica::handle_request(sim::Context& ctx, ProcessId from, Reader& r) {
   cmd.key = req.key;
   cmd.value = req.value;
   commands_.emplace(id, std::move(cmd));
+  open_.insert(id);
   if (!req.sig.empty()) cmd_sigs_[id] = req.sig;
   pending_client_.insert(id);
   cstats_.queue_peak = std::max<std::uint64_t>(cstats_.queue_peak,
@@ -974,6 +976,7 @@ void Replica::ingest_relay(sim::Context& ctx, std::uint32_t origin,
     commands_.emplace(id, std::move(cmd));
     if (!relay.sig.empty()) cmd_sigs_[id] = relay.sig;
     if (!committed) {
+      open_.insert(id);
       pending_client_.insert(id);
       relay_origin_[id] = origin;
       ++origin_pending_[origin];
@@ -1135,15 +1138,6 @@ void Replica::request_bodies(sim::Context& ctx,
   if (fetch_timer_ == 0) {
     fetch_timer_ = ctx.set_timer(config_.client.fetch_retry_delay);
   }
-}
-
-bool Replica::has_proposable() const {
-  for (const auto& [id, cmd] : commands_) {
-    if (committed_ids_.count(id) == 0 && claimed_ids_.count(id) == 0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void Replica::on_message(sim::Context& ctx, ProcessId from,

@@ -153,6 +153,14 @@ struct ReplicaConfig {
   /// honoured when checkpointing is on.
   std::set<std::uint32_t> await_done;
 
+  /// Set on a life that a scheduled kill will end: the replica never
+  /// announces completion (its end-of-log vote) and never stops, so the
+  /// kill always finds it running.  A life that finished first would
+  /// escape the kill, or die after its peers heard its end vote and
+  /// stopped, leaving the restarted life nobody to recover from.  The
+  /// restarted life announces completion in its place.
+  bool hold_done = false;
+
   /// Client/service layer (docs/CLIENT.md).  num_clients > 0 switches the
   /// replica into client mode: REQUEST/REPLY/BUSY/CMD_RELAY/CMD_FETCH/
   /// CLIENT_DONE control frames are spoken, the commit rule becomes the
@@ -365,7 +373,6 @@ class Replica final : public sim::Actor {
   /// re-pumps: a frontier parked on a now-refuted id becomes committable.
   void record_seq_bound(sim::Context& ctx, std::uint32_t client,
                         std::uint64_t bound, const Bytes& frame);
-  bool has_proposable() const;
   void handle_request(sim::Context& ctx, ProcessId from, Reader& r);
   void handle_relay(sim::Context& ctx, ProcessId from, Reader& r);
   void handle_fetch(sim::Context& ctx, ProcessId from, Reader& r);
@@ -399,8 +406,13 @@ class Replica final : public sim::Actor {
   /// Local proposal claims: ids already anchored by an in-flight slot, so
   /// concurrent slots propose disjoint anchors.  A heuristic only —
   /// correctness never depends on claims (the commit rule ignores them).
-  std::set<std::uint64_t> claimed_ids_;
   std::map<std::uint64_t, std::vector<std::uint64_t>> claims_;  // slot → ids
+  /// The open-id index: ids of commands_ that are neither committed nor
+  /// claimed — exactly what pick_proposal may propose, in the same
+  /// (increasing id) order a scan of commands_ would visit them.  Kept in
+  /// step at every mutation of commands_, committed_ids_ and claims_, and
+  /// rebuilt on snapshot install (docs/SMR.md).
+  std::set<std::uint64_t> open_;
   std::map<std::uint64_t, std::uint64_t> timer_slot_;  // timer id → slot
   // Buffered envelopes for not-yet-started slots (bounded; see config).
   std::map<std::uint64_t, std::vector<std::pair<ProcessId, Bytes>>> future_;

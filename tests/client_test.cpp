@@ -320,6 +320,74 @@ TEST(ClientService, SameSeedIsBitIdentical) {
   EXPECT_EQ(a.run_stats.client.p99_us, b.run_stats.client.p99_us);
 }
 
+// FNV-1a over every committed (id, slot, op, key, value), in id order.
+std::uint64_t commit_log_digest(const faults::SmrScenarioResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const std::string& s) {
+    for (char c : s) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 0x100000001b3ULL;
+    }
+    h ^= 0xff;  // field separator
+    h *= 0x100000001b3ULL;
+  };
+  for (const auto& [id, entry] : r.commit_log) {
+    mix(std::to_string(id));
+    mix(std::to_string(entry.first));
+    mix(std::to_string(static_cast<int>(entry.second.op)));
+    mix(entry.second.key);
+    mix(entry.second.value);
+  }
+  return h;
+}
+
+// Pins the replica's exact behaviour on the simulator: proposal choice,
+// claims and their release decide which ids every slot carries, so any
+// change to that bookkeeping that is not behaviour-preserving moves the
+// message count, the bytes, the no-op slots or the commit log.  The
+// expected figures are those of the full-scan bookkeeping the open-id
+// index replaced (docs/SMR.md).  The second run kills and restarts
+// replica 3 so that a snapshot install rebuilds the index mid-run.
+faults::SmrScenarioConfig pinned_scenario(bool kill_restart) {
+  faults::SmrScenarioConfig sc;
+  sc.n = 4;
+  sc.f = 1;
+  sc.seed = 2024;
+  sc.backend = smr::Backend::kByzantine;
+  sc.window = 4;
+  sc.batch = 2;
+  sc.checkpoint_interval = 8;
+  sc.clients = faults::ClientLoadConfig{};
+  sc.clients->ops_per_client = 40;
+  sc.slots = 2 * 80 + 2 * sc.window;
+  if (kill_restart) sc.crashes.push_back({ProcessId{3}, 20'000, 60'000});
+  return sc;
+}
+
+TEST(ClientService, PinnedBehaviourHealthy) {
+  const faults::SmrScenarioResult r =
+      faults::run_smr_scenario(pinned_scenario(false));
+  ASSERT_TRUE(r.clean);
+  ASSERT_EQ(r.commit_log.size(), 80u);
+  EXPECT_EQ(r.run_stats.net.messages_sent, 13504u);
+  EXPECT_EQ(r.run_stats.net.bytes_sent, 7012388u);
+  EXPECT_EQ(r.run_stats.pipeline.noop_slots, 99u);
+  EXPECT_EQ(commit_log_digest(r), 11761472084272365886ULL);
+}
+
+TEST(ClientService, PinnedBehaviourKillRestart) {
+  const faults::SmrScenarioResult r =
+      faults::run_smr_scenario(pinned_scenario(true));
+  ASSERT_TRUE(r.clean);
+  ASSERT_EQ(r.recovered.count(3), 1u);
+  ASSERT_GT(r.run_stats.pipeline.recovery_installs, 0u);
+  ASSERT_EQ(r.commit_log.size(), 80u);
+  EXPECT_EQ(r.run_stats.net.messages_sent, 12530u);
+  EXPECT_EQ(r.run_stats.net.bytes_sent, 6475700u);
+  EXPECT_EQ(r.run_stats.pipeline.noop_slots, 97u);
+  EXPECT_EQ(commit_log_digest(r), 6700768886070448650ULL);
+}
+
 TEST(ClientService, DisabledClientsLeaveAllCountersZero) {
   // Pre-client configuration: preloaded workload, no client actors.  The
   // whole client service must be inert — zero counters, empty client maps.

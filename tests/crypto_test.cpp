@@ -1,6 +1,9 @@
 // Unit tests for the cryptographic substrate.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/hmac_signer.hpp"
@@ -59,6 +62,22 @@ TEST(Sha256, BoundaryLengths) {
     Digest streamed = ctx.finish();
     EXPECT_EQ(streamed, sha256(data)) << "len=" << len;
   }
+}
+
+TEST(Sha256, CopiedContextContinuesIndependently) {
+  // The midstate copy HMAC keys rely on: a copy taken mid-stream carries
+  // on from the shared prefix, and neither context disturbs the other.
+  Bytes prefix(64, 0x36);  // one full block, like an HMAC pad
+  Sha256 base;
+  base.update(prefix);
+  Sha256 copy = base;
+  copy.update(bytes_of("abc"));
+  base.update(bytes_of("xyz"));
+  Bytes with_abc = prefix, with_xyz = prefix;
+  for (char c : std::string("abc")) with_abc.push_back(c);
+  for (char c : std::string("xyz")) with_xyz.push_back(c);
+  EXPECT_EQ(copy.finish(), sha256(with_abc));
+  EXPECT_EQ(base.finish(), sha256(with_xyz));
 }
 
 TEST(Sha256, ResetReuses) {
@@ -170,6 +189,45 @@ TEST(HmacScheme, SignVerifyRoundTrip) {
   Signature sig = sys.signers[2]->sign(msg);
   EXPECT_TRUE(sys.verifier->verify(ProcessId{2}, msg, sig));
   EXPECT_FALSE(sys.verifier->verify(ProcessId{1}, msg, sig));
+}
+
+// RFC 4231 cases 4, 6 and 7 through the signature scheme: the signer
+// and the verifier MAC from precomputed pad midstates, and cases 6 and 7
+// use a 131-byte key, longer than a block, which is hashed first.
+TEST(HmacScheme, Rfc4231VectorsThroughSignerAndVerifier) {
+  Bytes key4;
+  for (std::uint8_t b = 0x01; b <= 0x19; ++b) key4.push_back(b);
+  const Bytes long_key(131, 0xaa);
+  struct Case {
+    Bytes key;
+    Bytes data;
+    const char* tag;
+  };
+  const std::vector<Case> cases = {
+      {key4, Bytes(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {long_key,
+       bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {long_key,
+       bytes_of("This is a test using a larger than block-size key and a "
+                "larger than block-size data. The key needs to be hashed "
+                "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  std::vector<Bytes> keys;
+  for (const Case& c : cases) keys.push_back(c.key);
+  const SignatureSystem sys = HmacScheme::from_keys(keys);
+  for (std::uint32_t i = 0; i < cases.size(); ++i) {
+    const Signature sig = sys.signers[i]->sign(cases[i].data);
+    EXPECT_EQ(to_hex(sig), cases[i].tag) << "case " << i;
+    // Signing twice reuses the midstates; they must not have advanced.
+    EXPECT_EQ(sys.signers[i]->sign(cases[i].data), sig) << "case " << i;
+    EXPECT_TRUE(sys.verifier->verify(ProcessId{i}, cases[i].data, sig));
+    Signature flipped = sig;
+    flipped[0] ^= 1;
+    EXPECT_FALSE(sys.verifier->verify(ProcessId{i}, cases[i].data, flipped));
+  }
 }
 
 TEST(HmacScheme, RejectsTampering) {
