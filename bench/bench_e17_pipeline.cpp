@@ -88,9 +88,6 @@ RunRow run_config(runtime::Backend substrate, std::uint32_t w,
     cfg.workload = make_workload(commands);
     cfg.window = w;
     cfg.batch = b;
-    // E17 measures the sequential-ingest message path; the staged
-    // pipeline is E19's subject and must not leak into this baseline.
-    cfg.staged_ingest = false;
     // Slack beyond ceil(commands / B): racing proposals can cost the odd
     // no-op slot; the throughput number must cover the whole workload.
     cfg.slots = (commands + b - 1) / b + 2;

@@ -257,8 +257,8 @@ struct SmrScenarioConfig {
   /// Command table; defaults to the canonical 5-command KV workload.
   std::vector<smr::Command> workload;
   /// Signature scheme (Byzantine back-end and checkpoint certificates).
-  /// kRsa64 puts the run in the verification-dominated regime the staged
-  /// ingest pipeline targets (bench E19); kHmac is the cheap default.
+  /// kRsa64 puts the run in the verification-dominated regime; kHmac is
+  /// the cheap default.
   Scheme scheme = Scheme::kHmac;
   /// Pipeline window W (concurrent consensus instances per replica).
   std::uint32_t window = 1;
@@ -266,16 +266,8 @@ struct SmrScenarioConfig {
   std::uint32_t batch = 1;
   /// Byzantine backend: verify-pool workers shared by all replicas.
   /// Unset = substrate default (sim: 0 — the synchronous deterministic
-  /// pool; threads/tcp: 3 workers).
+  /// pool; threads/tcp: min(3, hardware threads − 1) workers).
   std::optional<std::uint32_t> verify_workers;
-  /// Staged ingest pipeline (smr::ReplicaConfig::staged_ingest): parallel
-  /// decode+verify prologue over each delivery batch plus batched egress
-  /// signing.  Unset = substrate default (sim: off — its event loop
-  /// dispatches one message at a time anyway; threads/tcp: on).
-  /// Observationally equivalent either way — the equivalence tests
-  /// compare the stores bit for bit.
-  std::optional<bool> staged_ingest;
-
   // --- checkpointing / recovery (ISSUE 6) ---
   /// Checkpoint every C committed slots (0 = off; wire format identical
   /// to a pre-recovery build).  When on, a CrashSpec carrying

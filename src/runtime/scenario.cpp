@@ -479,11 +479,11 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   // Byzantine backend: one verification pool shared by every replica.
   // The sim default of 0 workers is the synchronous pool — identical
   // execution order to no pool at all, but with accounting.  Wall-clock
-  // substrates size the pool to the machine: up to 3 workers, but never
-  // more than the spare cores — on a box with no spare cores the pool
-  // degrades to synchronous, where prologue jobs run inline on the
-  // dispatching thread (same semantics, no cross-thread handoff to lose
-  // time on).  An explicit verify_workers overrides both.
+  // substrates take min(3, hardware threads − 1) workers — one core is
+  // held back for the caller, but the n replica threads (and any client
+  // threads) are not counted, so the workers share cores with them.  A
+  // single-core box gets the synchronous pool.  An explicit
+  // verify_workers overrides both.
   std::shared_ptr<crypto::VerifyPool> pool;
   if (config.backend == smr::Backend::kByzantine) {
     const std::uint32_t hw =
@@ -523,12 +523,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   // every node before the views are read back.
   std::vector<const smr::Replica*> views(config.n, nullptr);
 
-  // Staged ingest default mirrors the verify-pool default: off on the
-  // deterministic simulator (whose event loop never forms a batch), on
-  // for the wall-clock substrates.
-  const bool staged_ingest = config.staged_ingest.value_or(
-      config.substrate != runtime::Backend::kSim);
-
   auto make_rcfg = [&](std::uint32_t i, bool recover) {
     smr::ReplicaConfig rcfg;
     rcfg.n = config.n;
@@ -536,7 +530,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     rcfg.slots = config.slots;
     rcfg.window = config.window;
     rcfg.batch = config.batch;
-    rcfg.staged_ingest = staged_ingest;
     if (config.backend == smr::Backend::kCrashHurfinRaynal) {
       fd::OracleConfig oracle = config.oracle;
       oracle.seed = config.oracle.seed ^ (0x1000 + i);
@@ -766,17 +759,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     }
     avg_sum += ps.avg_window();
     avg_count += 1;
-    const smr::IngestStats& is = views[i]->ingest_stats();
-    runtime::IngestSummary& ing = result.run_stats.ingest;
-    ing.batches += is.batches;
-    ing.batch_messages += is.batch_messages;
-    ing.max_batch = std::max(ing.max_batch, is.max_batch);
-    ing.prologue_frames += is.prologue_frames;
-    ing.prologue_jobs += is.prologue_jobs;
-    ing.staged_sends += is.staged_sends;
-    ing.staged_bytes += is.staged_bytes;
-    ing.sign_flushes += is.sign_flushes;
-    ing.encode_reuses += is.encode_reuses;
     if (const crypto::CachingVerifier* cache = views[i]->verify_cache()) {
       const crypto::VerifyCacheStats cs = cache->stats();
       result.run_stats.verify.cache_hits += cs.hits;
@@ -785,7 +767,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     }
   }
   if (avg_count > 0) pipe.avg_window = avg_sum / static_cast<double>(avg_count);
-  result.run_stats.ingest.staged = staged_ingest ? 1 : 0;
   if (pool) {
     const crypto::VerifyPoolStats ps = pool->stats();
     result.run_stats.verify.pool_workers = pool->workers();

@@ -21,6 +21,14 @@ std::uint64_t wall_us_since(WallClock::time_point start) {
           .count());
 }
 
+IngestSummary ingest_summary(const transport::BatchStats& b) {
+  IngestSummary s;
+  s.batches = b.batches;
+  s.batch_messages = b.batch_messages;
+  s.max_batch = b.max_batch;
+  return s;
+}
+
 // ---------------------------------------------------------------- kSim
 
 class SimSubstrate final : public Substrate {
@@ -146,6 +154,7 @@ class ThreadSubstrate final : public Substrate {
     result.clean = all_stopped;
     result.unstopped = cluster_->unstopped();
     result.stats.net = cluster_->stats();
+    result.stats.ingest = ingest_summary(cluster_->batch_stats());
     result.stats.wall_us =
         static_cast<std::uint64_t>(cluster_->elapsed().count());
     return result;
@@ -206,6 +215,7 @@ class TcpSubstrate final : public Substrate {
     result.clean = all_stopped;
     result.unstopped = cluster_->unstopped();
     result.stats.net = cluster_->stats();
+    result.stats.ingest = ingest_summary(cluster_->batch_stats());
     result.stats.wall_us = wall_us_since(start);
     result.stats.wire_frames = cluster_->frames_sent();
     result.stats.wire_bytes = cluster_->bytes_sent();
@@ -293,17 +303,10 @@ std::string to_json(Backend backend, const RunStats& stats) {
      << ",\"recovery_installs\":" << stats.pipeline.recovery_installs
      << ",\"recovery_rejects\":" << stats.pipeline.recovery_rejects
      << ",\"recovery_us\":" << stats.pipeline.recovery_us
-     << ",\"ingest_staged\":" << stats.ingest.staged
      << ",\"ingest_batches\":" << stats.ingest.batches
      << ",\"ingest_batch_messages\":" << stats.ingest.batch_messages
      << ",\"ingest_max_batch\":" << stats.ingest.max_batch
      << ",\"ingest_avg_batch\":" << stats.ingest.avg_batch()
-     << ",\"ingest_prologue_frames\":" << stats.ingest.prologue_frames
-     << ",\"ingest_prologue_jobs\":" << stats.ingest.prologue_jobs
-     << ",\"ingest_staged_sends\":" << stats.ingest.staged_sends
-     << ",\"ingest_staged_bytes\":" << stats.ingest.staged_bytes
-     << ",\"ingest_sign_flushes\":" << stats.ingest.sign_flushes
-     << ",\"ingest_encode_reuses\":" << stats.ingest.encode_reuses
      << ",\"client_clients\":" << stats.client.clients
      << ",\"client_submitted\":" << stats.client.submitted
      << ",\"client_retries\":" << stats.client.retries

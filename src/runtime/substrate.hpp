@@ -108,22 +108,17 @@ struct PipelineSummary {
   std::uint64_t recovery_us = 0;
 };
 
-/// Staged-ingest counters (smr::IngestStats summed over a run's correct
-/// replicas, plus the staged/sequential knob actually in force).  All
-/// zero when staged ingest is off or the substrate never delivered a
-/// multi-frame batch — the deterministic simulator in particular
-/// dispatches one message per event, so its batches never form.
+/// Delivery-batch shape (transport::BatchStats): every Actor::on_batch
+/// dispatch the wall-clock node loops formed, summed over all nodes,
+/// clients included.  All zero on the simulator, which delivers one
+/// message per event and never forms a batch.
 struct IngestSummary {
-  std::uint64_t staged = 0;  // 1 iff the staged pipeline was enabled
   std::uint64_t batches = 0;
   std::uint64_t batch_messages = 0;
   std::uint64_t max_batch = 0;
-  std::uint64_t prologue_frames = 0;
+  /// Always 0: nothing runs per-batch prologue jobs any more.  Kept only
+  /// for reports that still read it.
   std::uint64_t prologue_jobs = 0;
-  std::uint64_t staged_sends = 0;
-  std::uint64_t staged_bytes = 0;
-  std::uint64_t sign_flushes = 0;
-  std::uint64_t encode_reuses = 0;
 
   double avg_batch() const {
     return batches == 0 ? 0.0
@@ -196,7 +191,7 @@ struct RunStats {
   VerifySummary verify;
   /// SMR pipeline counters (run_smr_scenario only).
   PipelineSummary pipeline;
-  /// Staged-ingest counters (run_smr_scenario only).
+  /// Delivery-batch shape (threads and TCP only).
   IngestSummary ingest;
   /// Client/service-layer counters (run_smr_scenario with clients only).
   ClientSummary client;

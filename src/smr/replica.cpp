@@ -6,29 +6,8 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/serial.hpp"
-#include "crypto/verify_pool.hpp"
 
 namespace modubft::smr {
-
-namespace {
-
-/// Warms the shared verified-signature cache with every member signature a
-/// subsequent §5.1 well-formedness walk of this certificate could check.
-/// Verdicts are discarded here and re-derived — from the now-hot cache —
-/// by the sequential stage, so a Byzantine member merely warms a negative
-/// entry and is rejected exactly as without the prologue.
-void warm_certificate(const crypto::CachingVerifier& cache,
-                      const bft::Certificate& cert, std::uint32_t depth) {
-  if (cert.pruned || depth > bft::DecodeLimits{}.max_depth) return;
-  for (std::size_t i = 0; i < cert.size(); ++i) {
-    const bft::SignedMessage& m = cert.member(i);
-    cache.verify_digest(m.core.sender, cert.member_signing_digest(i), m.sig,
-                        [&m] { return bft::signing_bytes(m.core, m.cert); });
-    warm_certificate(cache, m.cert, depth + 1);
-  }
-}
-
-}  // namespace
 
 Bytes encode_command(const Command& cmd) {
   Writer w;
@@ -227,23 +206,8 @@ std::unique_ptr<sim::Actor> Replica::make_instance_actor(std::uint64_t slot) {
         });
   }
 
-  // Per-instance config copy: the egress-staging hook must know which
-  // slot's envelope to wrap the flushed frame in, so each instance gets
-  // its own closure.  The hook declines (returns false) outside the
-  // sequential stage of a staged dispatch, which keeps on_timer / on_start
-  // sends on the immediate inline path.
-  bft::BftConfig bcfg = config_.bft;
-  if (config_.staged_ingest) {
-    bcfg.egress_stage = [this, slot](bft::MessageCore&& core,
-                                     bft::Certificate&& cert) {
-      if (!staging_active_) return false;
-      ++istats_.staged_sends;
-      staged_.push_back(StagedSend{slot, std::move(core), std::move(cert)});
-      return true;
-    };
-  }
   return std::make_unique<bft::BftProcess>(
-      std::move(bcfg), proposal, config_.signer, config_.verifier,
+      config_.bft, proposal, config_.signer, config_.verifier,
       [this, slot](ProcessId, const bft::VectorDecision& d) {
         auto it = slots_.find(slot);
         if (it == slots_.end() || it->second.decided) return;
@@ -1207,122 +1171,6 @@ void Replica::on_message(sim::Context& ctx, ProcessId from,
   // starting next_start_ before we have anything to propose is only
   // visible here, so the buffered envelope must open the window.
   if (client_mode()) pump(ctx);
-}
-
-bool Replica::staging_ready() const {
-  // Staged ingest needs the Byzantine back-end (the crash protocol has no
-  // signatures to pre-verify), the pool (the parallelism) and the shared
-  // cache (the channel through which prologue work reaches the sequential
-  // stage).  A recovering replica drops consensus traffic anyway, so
-  // warming for it would be pure waste.
-  return config_.staged_ingest && config_.backend == Backend::kByzantine &&
-         config_.bft.verify_pool != nullptr && vcache_ != nullptr &&
-         !recovering_;
-}
-
-void Replica::on_batch(sim::Context& ctx,
-                       std::vector<sim::Incoming>& batch) {
-  if (!staging_ready() || batch.size() < 2) {
-    // The base-class contract: sequential dispatch in arrival order.  A
-    // single-frame batch gains nothing from a prologue or a staged flush.
-    sim::Actor::on_batch(ctx, batch);
-    return;
-  }
-  ++istats_.batches;
-  istats_.batch_messages += batch.size();
-  istats_.max_batch =
-      std::max<std::uint64_t>(istats_.max_batch, batch.size());
-
-  // Stage 1 — parallel prologue: warm the shared cache across the whole
-  // batch.  verify_all blocks, so everything the workers wrote is visible
-  // (happens-before) when the sequential stage starts.  A synchronous
-  // pool (0 workers) has no parallelism to exploit — every job would run
-  // inline on this thread and duplicate work the sequential stage does
-  // anyway — so the prologue only runs when workers exist; the batched
-  // signing and pooled-encode stages are amortizations, not parallelism,
-  // and stay on either way.
-  if (config_.bft.verify_pool->workers() > 0) ingest_prologue(batch);
-
-  // Stage 2 — sequential protocol stage, in arrival order: index i IS the
-  // ordering ticket, so observable behaviour is bit-identical to the
-  // one-message-at-a-time dispatch (docs/INGEST.md states the argument).
-  staging_active_ = true;
-  for (sim::Incoming& m : batch) on_message(ctx, m.from, m.payload);
-  staging_active_ = false;
-
-  // Stage 3 — batched signing: flush the egress staged during stage 2.
-  flush_staged(ctx);
-}
-
-void Replica::ingest_prologue(const std::vector<sim::Incoming>& batch) {
-  std::vector<crypto::VerifyPool::Job> jobs;
-  jobs.reserve(batch.size());
-  for (const sim::Incoming& m : batch) {
-    // Recognize consensus frames without touching protocol state; control
-    // traffic, stale or out-of-range slots and runts are left entirely to
-    // the sequential stage.
-    std::uint64_t slot = 0;
-    try {
-      Reader r(m.payload);
-      slot = r.u64();
-    } catch (const SerialError&) {
-      continue;
-    }
-    if (slot == kControlSlot || slot >= config_.slots ||
-        slot < next_commit_) {
-      continue;
-    }
-    ++istats_.prologue_frames;
-    jobs.push_back([this, from = m.from, payload = &m.payload] {
-      // The job borrows the frame bytes (verify_all blocks until every
-      // job returns, so `batch` outlives the borrow) and peels its own
-      // sub-frame copy on the worker — off the sequential thread.  The
-      // decoded message, including the digest memos the warm walk
-      // populates, is this job's own object, so the unsynchronized
-      // Certificate caches are never shared across threads.  The
-      // sequential stage re-decodes the raw bytes and finds the verify
-      // cache hot.
-      bft::DecodeOutcome out = bft::try_decode_message(
-          Bytes(payload->begin() + 8, payload->end()));
-      if (!out.ok) return true;       // the signature module rejects it
-      if (out.msg.core.sender != from) return true;  // identity mismatch
-      vcache_->verify(out.msg.core.sender,
-                      bft::signing_bytes(out.msg.core, out.msg.cert),
-                      out.msg.sig);
-      warm_certificate(*vcache_, out.msg.cert, 0);
-      return true;
-    });
-  }
-  if (jobs.empty()) return;
-  istats_.prologue_jobs += jobs.size();
-  config_.bft.verify_pool->verify_all(std::move(jobs));
-}
-
-void Replica::flush_staged(sim::Context& ctx) {
-  if (staged_.empty()) return;
-  ++istats_.sign_flushes;
-  std::vector<StagedSend> pending = std::move(staged_);
-  staged_.clear();
-  for (StagedSend& s : pending) {
-    // One signing pass over the whole dispatch's egress, in staging order
-    // — the order the sequential path would have broadcast in, so every
-    // receiver sees the same per-sender FIFO.
-    bft::SignedMessage msg;
-    msg.core = std::move(s.core);
-    msg.cert = std::move(s.cert);
-    msg.sig = config_.signer->sign(bft::signing_bytes(msg.core, msg.cert));
-
-    // Zero-copy encode: slot envelope + message straight into a pooled
-    // buffer (byte-identical to SlotContext::frame around encode_message).
-    Writer w(encode_pool_.acquire());
-    w.u64(s.slot);
-    bft::encode_message(msg, w);
-    Bytes frame = std::move(w).take();
-    istats_.staged_bytes += frame.size();
-    ctx.broadcast(frame);
-    encode_pool_.release(std::move(frame));
-  }
-  istats_.encode_reuses = encode_pool_.stats().reuses;
 }
 
 void Replica::on_timer(sim::Context& ctx, std::uint64_t timer_id) {

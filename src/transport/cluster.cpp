@@ -203,7 +203,7 @@ void Cluster::node_pump(Node& node, NodeContext& ctx) {
     if (!drained.empty()) {
       // Taps and counters fire per delivery, in delivery order, before the
       // batch dispatch; the actor then consumes the batch in that same
-      // order (the ordering-ticket contract, docs/INGEST.md).
+      // order (the ordering-ticket contract of sim::Actor::on_batch).
       std::vector<sim::Incoming> batch;
       batch.reserve(drained.size());
       for (Envelope& env : drained) {
@@ -212,6 +212,7 @@ void Cluster::node_pump(Node& node, NodeContext& ctx) {
         stats_.events_executed.fetch_add(1, std::memory_order_relaxed);
         batch.push_back(sim::Incoming{env.from, std::move(env.payload)});
       }
+      stats_.batches.record(batch.size());
       node.actor->on_batch(ctx, batch);
       continue;
     }

@@ -91,6 +91,9 @@ class Cluster {
   /// (message + timer dispatches).
   sim::Stats stats() const;
 
+  /// Shape of the mailbox drains dispatched through Actor::on_batch.
+  BatchStats batch_stats() const { return stats_.batches.load(); }
+
   /// Wall-clock duration of the completed run.
   std::chrono::microseconds elapsed() const { return elapsed_; }
 
@@ -128,6 +131,7 @@ class Cluster {
     std::atomic<std::uint64_t> messages_delivered{0};
     std::atomic<std::uint64_t> bytes_sent{0};
     std::atomic<std::uint64_t> events_executed{0};
+    BatchCounter batches;
   };
   AtomicStats stats_;
 

@@ -7,8 +7,10 @@
 // assume.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -89,6 +91,37 @@ class Mailbox {
   std::condition_variable cv_;
   std::deque<T> queue_;
   bool closed_ = false;
+};
+
+/// Shape of the delivery batches the node loops hand to Actor::on_batch,
+/// summed over every node of a run.
+struct BatchStats {
+  std::uint64_t batches = 0;         // on_batch dispatches
+  std::uint64_t batch_messages = 0;  // messages delivered through them
+  std::uint64_t max_batch = 0;       // largest single dispatch
+};
+
+/// BatchStats fed concurrently by the node threads.
+class BatchCounter {
+ public:
+  void record(std::uint64_t size) {
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    messages_.fetch_add(size, std::memory_order_relaxed);
+    std::uint64_t seen = max_.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !max_.compare_exchange_weak(seen, size,
+                                       std::memory_order_relaxed)) {
+    }
+  }
+
+  BatchStats load() const {
+    return BatchStats{batches_.load(), messages_.load(), max_.load()};
+  }
+
+ private:
+  std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> messages_{0};
+  std::atomic<std::uint64_t> max_{0};
 };
 
 }  // namespace modubft::transport

@@ -700,7 +700,8 @@ void TcpCluster::node_pump(Node& node, NodeContext& ctx) {
 
     if (!drained.empty()) {
       // Taps and counters fire per delivery, in delivery order, before
-      // the batch dispatch (the ordering-ticket contract, docs/INGEST.md).
+      // the batch dispatch (the ordering-ticket contract of
+      // sim::Actor::on_batch).
       std::vector<sim::Incoming> batch;
       batch.reserve(drained.size());
       for (Envelope& env : drained) {
@@ -709,6 +710,7 @@ void TcpCluster::node_pump(Node& node, NodeContext& ctx) {
         msg_stats_.events_executed.fetch_add(1, std::memory_order_relaxed);
         batch.push_back(sim::Incoming{env.from, std::move(env.payload)});
       }
+      msg_stats_.batches.record(batch.size());
       node.actor->on_batch(ctx, batch);
       continue;
     }

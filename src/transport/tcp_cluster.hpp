@@ -12,7 +12,7 @@
 // dialer's id.  The receive side of each node is a single level-triggered
 // epoll event loop driving nonblocking sockets (accept + every inbound
 // link), so a node costs one IO thread regardless of n — the former
-// thread-per-connection readers are gone (see docs/INGEST.md).  Unlike
+// thread-per-connection readers are gone (see docs/TRANSPORT.md).  Unlike
 // the first-generation transport, the reliable-FIFO
 // contract the protocols assume is *re-established by this layer* rather
 // than presumed from a single healthy TCP connection: each link is a
@@ -144,6 +144,9 @@ class TcpCluster {
   /// excluded), deliveries at actor dispatch.
   sim::Stats stats() const;
 
+  /// Shape of the mailbox drains dispatched through Actor::on_batch.
+  BatchStats batch_stats() const { return msg_stats_.batches.load(); }
+
   /// Aggregate fault/recovery counters over all links.
   TcpLinkStats link_stats() const;
 
@@ -201,6 +204,7 @@ class TcpCluster {
     std::atomic<std::uint64_t> messages_delivered{0};
     std::atomic<std::uint64_t> bytes_sent{0};
     std::atomic<std::uint64_t> events_executed{0};
+    BatchCounter batches;
   };
   AtomicStats msg_stats_;
 

@@ -1,5 +1,5 @@
 // Chaos tests aimed squarely at the epoll receive loop (see
-// docs/INGEST.md): one level-triggered epoll instance per node drives the
+// docs/TRANSPORT.md): one level-triggered epoll instance per node drives the
 // listen socket and every inbound connection, so these scenarios stress
 // exactly what thread-per-connection readers never faced —
 //
@@ -9,7 +9,8 @@
 //   * a slow reader whose kernel receive buffer fills, pushing the
 //     senders through the partial-write / EPOLLOUT re-arm path;
 //   * burst arrivals that must coalesce into multi-frame Actor::on_batch
-//     dispatches (the transport half of the staged ingest pipeline).
+//     dispatches, dispatched under the ordering-ticket contract written
+//     on sim::Actor::on_batch.
 //
 // All of it must preserve the reliable-FIFO exactly-once contract, which
 // the delivery audit checks seq by seq.  The file runs under TSan in the
@@ -201,9 +202,10 @@ TEST(EpollChaos, SlowReaderBackpressureKeepsFifoExactlyOnce) {
 // ---------------------------------------------------- batch coalescing
 
 // Frames that pile up while the actor is busy must be drained into one
-// multi-frame on_batch dispatch (capped by max_batch) — the property the
-// staged ingest prologue feeds on.  The receiver stalls inside its first
-// dispatches, so later drains are guaranteed to find queued frames.
+// multi-frame on_batch dispatch (capped by max_batch), and the cluster's
+// batch counters must report the shape the actor saw.  The receiver
+// stalls inside its first dispatches, so later drains are guaranteed to
+// find queued frames.
 TEST(EpollChaos, BurstArrivalsCoalesceIntoBatchDispatches) {
   static constexpr int kCount = 300;
 
@@ -256,6 +258,10 @@ TEST(EpollChaos, BurstArrivalsCoalesceIntoBatchDispatches) {
   EXPECT_EQ(view->delivered(), kCount);
   EXPECT_GE(view->max_batch(), 2u) << "no multi-frame batch ever formed";
   EXPECT_LE(view->max_batch(), cfg.max_batch);
+  const BatchStats shape = cluster.batch_stats();
+  EXPECT_EQ(shape.max_batch, view->max_batch());
+  EXPECT_EQ(shape.batch_messages, cluster.stats().messages_delivered);
+  EXPECT_LE(shape.batches, shape.batch_messages);
 }
 
 // ------------------------------------------------------- signal storms

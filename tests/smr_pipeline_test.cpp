@@ -15,10 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "bft/message.hpp"
 #include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"
-#include "crypto/verify_pool.hpp"
 #include "faults/scenario.hpp"
 #include "fd/oracle_fd.hpp"
 #include "sim/simulation.hpp"
@@ -154,29 +152,12 @@ TEST(SmrPipeline, ThreadsByzantineBackendMatchesSimSequentialStore) {
   EXPECT_EQ(piped.store, seq.store);
   EXPECT_EQ(piped.run_stats.verify.pool_workers, 3u);
   EXPECT_GT(piped.run_stats.verify.pool_jobs, 0u);
-  // threads default: the staged ingest pipeline is in force.
-  EXPECT_EQ(piped.run_stats.ingest.staged, 1u);
-}
-
-TEST(SmrPipeline, ThreadsStagedIngestToggleIsStoreInvariant) {
-  const faults::SmrScenarioResult seq = faults::run_smr_scenario(
-      pipelined_config(Backend::kByzantine, 1, 1));
-  expect_full_commit(seq, "sim W1 B1");
-
-  for (bool staged : {true, false}) {
-    SCOPED_TRACE(staged ? "staged" : "sequential");
-    faults::SmrScenarioConfig cfg =
-        pipelined_config(Backend::kByzantine, 4, 4);
-    cfg.substrate = runtime::Backend::kThreads;
-    cfg.staged_ingest = staged;
-    const faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
-    expect_full_commit(r, "threads W4 B4");
-    EXPECT_EQ(r.store, seq.store);
-    EXPECT_EQ(r.run_stats.ingest.staged, staged ? 1u : 0u);
-    if (!staged) {
-      EXPECT_EQ(r.run_stats.ingest.batches, 0u);
-    }
-  }
+  // The node loops dispatched every delivery through Actor::on_batch.
+  EXPECT_GT(piped.run_stats.ingest.batches, 0u);
+  EXPECT_GE(piped.run_stats.ingest.batch_messages,
+            piped.run_stats.ingest.batches);
+  EXPECT_EQ(piped.run_stats.ingest.batch_messages,
+            piped.run_stats.net.messages_delivered);
 }
 
 // --- envelope buffering bounds -----------------------------------------
@@ -423,123 +404,6 @@ TEST(SmrPipeline, CorrectReplicasCommitDespiteMidWindowByzantineSlot) {
   }
   EXPECT_EQ(correct[0]->store().get("alpha"), "3");
   EXPECT_EQ(correct[0]->store().get("gamma"), "5");
-}
-
-// --- staged ingest: deterministic dispatch equivalence ------------------
-
-// Records every frame the replica hands to the transport, in order.
-class RecordingContext final : public sim::Context {
- public:
-  ProcessId id() const override { return ProcessId{0}; }
-  std::uint32_t n() const override { return 4; }
-  SimTime now() const override { return 0; }
-  void send(ProcessId, Bytes payload) override {
-    out.push_back(std::move(payload));
-  }
-  void broadcast(const Bytes& payload) override { out.push_back(payload); }
-  std::uint64_t set_timer(SimTime) override { return ++timers_; }
-  void cancel_timer(std::uint64_t) override {}
-  Rng& rng() override { return rng_; }
-  void stop() override {}
-
-  std::vector<Bytes> out;
-
- private:
-  std::uint64_t timers_ = 0;
-  Rng rng_{0};
-};
-
-Bytes init_frame(const crypto::SignatureSystem& keys, std::uint32_t sender,
-                 std::uint64_t value) {
-  bft::SignedMessage m;
-  m.core.kind = bft::BftKind::kInit;
-  m.core.sender = ProcessId{sender};
-  m.core.round = Round{0};
-  m.core.init_value = value;
-  m.sig = keys.signers[sender]->sign(bft::signing_bytes(m.core, m.cert));
-  return envelope(0, bft::encode_message(m));
-}
-
-struct DispatchResult {
-  std::vector<Bytes> out;  // every frame emitted, in emission order
-  IngestStats ingest;
-  crypto::VerifyCacheStats cache;
-};
-
-// Feeds one replica a batch of three peer INITs for slot 0 through
-// on_batch.  Replica 0 is the round-1 coordinator, so the quorum-completing
-// INIT makes it emit a CURRENT — inline on the sequential path, via the
-// staged sign+encode flush on the staged path.
-DispatchResult dispatch_init_batch(bool staged) {
-  const crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(4, 23);
-  auto pool = std::make_shared<crypto::VerifyPool>(2);
-
-  ReplicaConfig cfg;
-  cfg.n = 4;
-  cfg.backend = Backend::kByzantine;
-  cfg.slots = 1;
-  cfg.bft.n = 4;
-  cfg.bft.f = 1;
-  cfg.bft.verify_pool = pool;
-  cfg.signer = keys.signers[0].get();
-  cfg.verifier = keys.verifier;
-  cfg.staged_ingest = staged;
-  Replica replica(cfg, faults::sample_workload(), CommitFn{});
-
-  RecordingContext ctx;
-  replica.on_start(ctx);
-  std::vector<sim::Incoming> batch;
-  for (std::uint32_t sender : {1u, 2u, 3u}) {
-    batch.push_back({ProcessId{sender}, init_frame(keys, sender, sender + 1)});
-  }
-  replica.on_batch(ctx, batch);
-
-  DispatchResult r;
-  r.out = std::move(ctx.out);
-  r.ingest = replica.ingest_stats();
-  if (replica.verify_cache() != nullptr) {
-    r.cache = replica.verify_cache()->stats();
-  }
-  return r;
-}
-
-// The tentpole determinism claim (docs/INGEST.md): a staged on_batch
-// dispatch emits the *byte-identical frame sequence* the sequential
-// message-for-message dispatch emits.  The prologue only warms the verify
-// cache, the sequential stage replays in arrival order, and the flush
-// re-creates each deferred frame from the same (core, cert, slot) triple
-// the inline path would have encoded.
-TEST(SmrStagedIngest, StagedDispatchBitIdenticalToSequential) {
-  const DispatchResult seq = dispatch_init_batch(false);
-  const DispatchResult stg = dispatch_init_batch(true);
-
-  // Same frames, same bytes, same order: own INIT from on_start, then the
-  // round-1 coordinator CURRENT triggered by the quorum-completing INIT.
-  ASSERT_EQ(seq.out.size(), stg.out.size());
-  ASSERT_GE(seq.out.size(), 2u);
-  for (std::size_t i = 0; i < seq.out.size(); ++i) {
-    EXPECT_EQ(seq.out[i], stg.out[i]) << "frame " << i;
-  }
-
-  // The sequential run never staged anything…
-  EXPECT_EQ(seq.ingest.batches, 0u);
-  EXPECT_EQ(seq.ingest.staged_sends, 0u);
-
-  // …while the staged run ran the full three-stage dispatch: one batch of
-  // three recognized frames through the prologue, one deferred CURRENT,
-  // one signing flush over a pooled encode buffer.
-  EXPECT_EQ(stg.ingest.batches, 1u);
-  EXPECT_EQ(stg.ingest.batch_messages, 3u);
-  EXPECT_EQ(stg.ingest.max_batch, 3u);
-  EXPECT_EQ(stg.ingest.prologue_frames, 3u);
-  EXPECT_EQ(stg.ingest.prologue_jobs, 3u);
-  EXPECT_EQ(stg.ingest.staged_sends, 1u);
-  EXPECT_EQ(stg.ingest.sign_flushes, 1u);
-  EXPECT_GT(stg.ingest.staged_bytes, 0u);
-
-  // The prologue's warming paid off: the sequential stage authenticated
-  // the three INITs against a warm cache.
-  EXPECT_GE(stg.cache.hits, 3u);
 }
 
 }  // namespace

@@ -288,6 +288,12 @@ TEST(Cluster, StatsCountProtocolTraffic) {
   EXPECT_EQ(stats.messages_delivered, 10u);
   EXPECT_EQ(stats.bytes_sent, 30u);
   EXPECT_GE(stats.events_executed, 10u);
+  // Every delivery went through one of the node loop's on_batch dispatches.
+  const BatchStats shape = cluster.batch_stats();
+  EXPECT_EQ(shape.batch_messages, 10u);
+  EXPECT_GE(shape.batches, 1u);
+  EXPECT_GE(shape.max_batch, 1u);
+  EXPECT_LE(shape.max_batch, 10u);
 }
 
 TEST(Cluster, DeliveryTapObservesEveryDelivery) {
